@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short bench bench-smoke bench-obs bench-des bench-des-par bench-relaxed bench-adapt experiments experiments-full clean lint lint-suppressions fuzz-smoke
+.PHONY: all build test race short bench bench-smoke bench-obs bench-des bench-relaxed bench-adapt experiments experiments-full clean lint lint-suppressions fuzz-smoke
 
 all: build test
 
@@ -59,22 +59,16 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
+# DES engine microbenches: batched vs legacy on identical event sequences.
+bench-des:
+	$(GO) test -run '^$$' -bench 'SimEngine|SimSteal' -benchtime=2s .
+
 # Tracer overhead gate. A disabled tracer (nil lanes, one nil check per
 # protocol call, nothing on the per-node loop) must keep
 # BenchmarkTracerDisabled and BenchmarkSequentialSearch within 2% of the
 # pre-tracer numbers in results/BENCH_PR1.json; BenchmarkTracerEnabled
 # and BenchmarkLaneRec show the full recording cost (~hundreds of ns per
 # protocol event, zero allocations).
-# DES engine microbenches: batched vs legacy on identical event sequences.
-bench-des:
-	$(GO) test -run '^$$' -bench 'SimEngine|SimSteal' -benchtime=2s .
-
-# Parallel-dispatch scaling of the sharded DES engine: the same schedule
-# dispatched by 1/2/4/8 shard goroutines. Meaningful only on a machine
-# with idle cores to match the shard count.
-bench-des-par:
-	$(GO) test -run '^$$' -bench 'SimSharded' -benchtime=2s .
-
 bench-obs:
 	$(GO) test -run '^$$' -bench 'Tracer|LaneRec|SequentialSearch|Sampler' -benchtime=2s .
 	OBS_BENCH_GATE=1 $(GO) test -run TestSamplerOverheadGate -count=1 -v ./internal/des/

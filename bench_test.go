@@ -7,7 +7,6 @@
 package repro
 
 import (
-	"fmt"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -405,37 +404,6 @@ func BenchmarkSimSteal(b *testing.B) {
 			}
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 			b.ReportMetric(float64(steals)/float64(b.N), "steals/run")
-		})
-	}
-}
-
-// BenchmarkSimSharded measures parallel dispatch scaling of the sharded
-// engine: the same mid-scale distributed-memory simulation dispatched by
-// 1, 2, 4 and 8 shard goroutines. Every variant executes the bit-identical
-// event schedule (TestShardedDifferential proves it), so events/s isolates
-// how well conservative-lookahead synchronization converts cores into
-// dispatch throughput. On a single-core runner the variants tie — compare
-// across shard counts only on a machine with that many idle cores.
-func BenchmarkSimSharded(b *testing.B) {
-	for _, shards := range []int{0, 1, 2, 4, 8} {
-		name := "batched" // shards == 0: the sequential baseline
-		if shards > 0 {
-			name = fmt.Sprintf("shards=%d", shards)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				_, info, err := des.RunInfo(&uts.T3Small, des.Config{
-					Algorithm: core.UPCDistMem, PEs: 256, Chunk: 8,
-					Model: &pgas.KittyHawk, Shards: shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += info.Events
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -37,8 +36,6 @@ func main() {
 	timeline := flag.Bool("timeline", false, "print the merged steal-protocol event timeline")
 	hist := flag.Bool("hist", false, "record protocol events and fold latency histograms into the summary")
 	ring := flag.Int("ring", 0, "per-PE trace ring capacity in events (0 = default)")
-	engine := flag.String("engine", des.EngineBatched, "simulation engine: batched, legacy")
-	shards := flag.Int("shards", 1, "parallel dispatcher shards (0 = one per available core; 1 = sequential engine); results are identical at any count")
 	progress := flag.Duration("progress", 0, "emit a wall-clock heartbeat to stderr every interval (e.g. 10s; 0 = off)")
 	live := flag.Duration("live", 0, "print a live progress line (rates, virtual time, steal p95) to stderr every interval (e.g. 1s; 0 = off)")
 	flag.Parse()
@@ -61,14 +58,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
 		os.Exit(2)
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "-shards %d out of range (want 0 for auto or a positive count)\n", *shards)
-		os.Exit(2)
-	}
-	nshards := *shards
-	if nshards == 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
 	cfg := des.Config{
 		Algorithm:    core.Algorithm(*alg),
 		PEs:          *pes,
@@ -76,10 +65,6 @@ func main() {
 		Model:        model,
 		PollInterval: *poll,
 		Seed:         *seed,
-		Engine:       *engine,
-	}
-	if nshards > 1 {
-		cfg.Shards = nshards
 	}
 	if *adapt {
 		cfg.Adapt = &policy.Config{}
@@ -110,12 +95,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	shardNote := ""
-	if info.Shards > 0 {
-		shardNote = fmt.Sprintf(" shards=%d lookahead=%v", info.Shards, info.Lookahead)
-	}
-	fmt.Printf("tree=%s alg=%s pes=%d chunk=%d profile=%s engine=%s%s events=%d wall=%v\n",
-		sp.Name, *alg, *pes, *chunk, *profile, info.Engine, shardNote, info.Events, wall.Round(time.Millisecond))
+	fmt.Printf("tree=%s alg=%s pes=%d chunk=%d profile=%s events=%d wall=%v\n",
+		sp.Name, *alg, *pes, *chunk, *profile, info.Events, wall.Round(time.Millisecond))
 	fmt.Print(res.Summary())
 	if *verbose {
 		fmt.Print(res.PerThreadTable())
@@ -137,8 +118,9 @@ func main() {
 
 // maxPEs bounds -pes: above this, memory for per-PE state (goroutine
 // stacks, counters, trace lanes) exceeds what a single host handles. The
-// sharded engine's horizon protocol keeps per-PE engine state constant, so
-// the bound is set by goroutine stacks alone: ~1M PEs fits in a few GB.
+// engine keeps per-PE state constant and core.ProbeWalk keeps probe
+// orders O(1) per PE, so the bound is set by goroutine stacks alone: ~1M
+// PEs fits in a few GB.
 const maxPEs = 1 << 20
 
 func validAlg(name string) bool {

@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 
 	"repro/internal/core"
@@ -26,8 +25,6 @@ func main() {
 	alg := flag.String("alg", string(core.UPCDistMem), "algorithm to tune")
 	pes := flag.Int("pes", 64, "simulated processing elements")
 	profile := flag.String("profile", "kittyhawk", "machine profile")
-	engine := flag.String("engine", des.EngineBatched, "simulation engine: batched, legacy")
-	shards := flag.Int("shards", 1, "parallel dispatcher shards per sweep point (0 = one per available core; 1 = sequential engine)")
 	adapt := flag.Bool("adapt", false, "after the sweep, run the closed-loop controller from the worst candidate and compare it against the best fixed chunk")
 	flag.Parse()
 
@@ -41,21 +38,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
 		os.Exit(2)
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "-shards %d out of range (want 0 for auto or a positive count)\n", *shards)
-		os.Exit(2)
-	}
-	nshards := *shards
-	if nshards == 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
 
-	cfg := des.Config{
-		Algorithm: core.Algorithm(*alg), PEs: *pes, Model: model, Engine: *engine,
-	}
-	if nshards > 1 {
-		cfg.Shards = nshards
-	}
+	cfg := des.Config{Algorithm: core.Algorithm(*alg), PEs: *pes, Model: model}
 	best, results, err := des.TuneChunk(sp, cfg, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -384,12 +384,21 @@ func TestHandoffRedepositStranded(t *testing.T) {
 	if !ok || len(recycle) != 1 {
 		t.Fatalf("handoff serve failed: ok=%v chunks=%d", ok, len(recycle))
 	}
+	// Until the response is written or the chunks are redeposited, the
+	// grant stays pending: a worker that read zero here could enter the
+	// termination barrier and lose the redeposited subtree.
+	if got := n.handoffN.Load(); got != 1 {
+		t.Errorf("handoffN = %d while a served grant is in flight, want 1", got)
+	}
 	n.redeposit(1, recycle)
 	if !w.reclaim() {
 		t.Fatal("redeposited chunks were not immediately reclaimable")
 	}
 	if got := w.pool.Len(); got != 1 {
 		t.Errorf("pool has %d chunks after reclaim, want 1", got)
+	}
+	if got := n.handoffN.Load(); got != 0 {
+		t.Errorf("handoffN = %d after reclaim, want 0", got)
 	}
 }
 

@@ -192,8 +192,11 @@ type node struct {
 	// serves). Each entry remembers its thief and deposit time so the
 	// worker's reclaim sweep can take back reservations that were never
 	// fetched — a thief that gave up or died must not strand the subtree
-	// it was granted. handoffN mirrors len(handoff) so the hot loop can
-	// ask "anything pending?" with one atomic load.
+	// it was granted. handoffN counts the table's entries plus any the
+	// progress engine has taken out to serve but not yet written to the
+	// thief or redeposited, so the hot loop can ask "anything pending?"
+	// with one atomic load, and the worker never sees zero while a served
+	// grant may still come back.
 	handoffMu  sync.Mutex
 	handoffSeq uint64
 	handoff    map[uint64]handoffEntry
@@ -978,6 +981,7 @@ func (n *node) serveConn(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) {
 			return
 		}
 		if recycle != nil {
+			n.handoffN.Add(-1)
 			n.recycle(recycle)
 		}
 	}
@@ -1005,8 +1009,9 @@ func (n *node) handleRequest(req *request, resp *response) (recycle []stack.Chun
 		// the thief books a failed steal for it.
 		n.handoffMu.Lock()
 		if e, ok := n.handoff[req.Handle]; ok {
+			// handoffN keeps counting the entry until serveConn has
+			// written the response or redeposited the chunks.
 			delete(n.handoff, req.Handle)
-			n.handoffN.Store(int32(len(n.handoff)))
 			resp.Chunk = e.chunks
 		}
 		n.handoffMu.Unlock()
@@ -1168,7 +1173,7 @@ func (n *node) deposit(chunks []stack.Chunk, thief int32) uint64 {
 	n.handoffSeq++
 	h := n.handoffSeq
 	n.handoff[h] = handoffEntry{chunks: chunks, thief: thief, at: time.Now()}
-	n.handoffN.Store(int32(len(n.handoff)))
+	n.handoffN.Add(1)
 	n.handoffMu.Unlock()
 	return h
 }
@@ -1179,11 +1184,11 @@ func (n *node) deposit(chunks []stack.Chunk, thief int32) uint64 {
 // table is the rendezvous: the worker's next reclaim sweep returns the
 // work to the pool. This is the server-side counterpart of service()'s
 // withdraw — a lost response must not lose the subtree it carried.
+// handoffN is unchanged: it counted the entry while it was out.
 func (n *node) redeposit(thief int32, chunks []stack.Chunk) {
 	n.handoffMu.Lock()
 	n.handoffSeq++
 	n.handoff[n.handoffSeq] = handoffEntry{chunks: chunks, thief: thief}
-	n.handoffN.Store(int32(len(n.handoff)))
 	n.handoffMu.Unlock()
 }
 
@@ -1196,7 +1201,7 @@ func (n *node) withdraw(h uint64) ([]stack.Chunk, bool) {
 	e, ok := n.handoff[h]
 	if ok {
 		delete(n.handoff, h)
-		n.handoffN.Store(int32(len(n.handoff)))
+		n.handoffN.Add(-1)
 	}
 	return e.chunks, ok
 }
@@ -1225,7 +1230,7 @@ func (n *node) reclaimStranded() []handoffEntry {
 			out = append(out, e)
 		}
 	}
-	n.handoffN.Store(int32(len(n.handoff)))
+	n.handoffN.Add(-int32(len(out)))
 	n.handoffMu.Unlock()
 	return out
 }

@@ -276,8 +276,9 @@ func (w *clusterWorker) reclaim() bool {
 }
 
 // drainHandoffs blocks until the handoff table is empty: every reserved
-// entry has either been fetched by its thief or reclaimed back into the
-// pool. It keeps servicing steal requests meanwhile (reclaimed work is
+// entry has either been delivered to its thief or reclaimed back into the
+// pool. An entry the progress engine is still serving counts as pending:
+// if its response is lost, the chunks come back through redeposit. It keeps servicing steal requests meanwhile (reclaimed work is
 // immediately stealable again), and reports whether any reclaim put
 // work back — the caller must then resume working rather than enter the
 // termination barrier.

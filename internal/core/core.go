@@ -435,7 +435,7 @@ func (r *ProbeOrder) shuffle(s []int) {
 // coprime-strided traversal of the ID space with O(1) state per walker:
 // with P simulated PEs each caching an O(P) cycle, the permutations cost
 // O(P²) memory in one simulator process — ≈137 GB at 131072 PEs, which
-// OOM-killed exactly the runs the sharded engine exists to make possible.
+// OOM-killed every simulated run at that scale.
 const probeWalkCacheMax = 4096
 
 // ProbeWalk is a lazily generated probe cycle: each of the n−1 victims

@@ -2,7 +2,6 @@ package des
 
 import (
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -89,8 +88,9 @@ func TestAdaptOffByteIdentical(t *testing.T) {
 }
 
 // TestAdaptiveDeterministic demands bit-identical adaptive runs across
-// engines and shard counts: the controllers consume only virtual-time
-// feedback, so the sharded dispatch must not change a single decision.
+// engines and repeated runs: the controllers consume only virtual-time
+// feedback, so the engine that dispatches the schedule must not change a
+// single decision.
 func TestAdaptiveDeterministic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -112,20 +112,20 @@ func TestAdaptiveDeterministic(t *testing.T) {
 			if ref.Policy == nil {
 				t.Fatal("adaptive run returned no policy summary")
 			}
-			for _, shards := range []int{1, 4} {
+			for _, engine := range []string{EngineBatched, EngineLegacy} {
 				cfg := tc.cfg
-				cfg.Shards = shards
+				cfg.Engine = engine
 				res, info, err := RunInfo(&uts.T3Small, cfg)
 				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
+					t.Fatalf("%s: %v", engine, err)
 				}
 				if got, want := fp(res, info), fp(ref, refInfo); got != want {
-					t.Errorf("shards=%d diverged from sequential:\ngot  %+v\nwant %+v", shards, got, want)
+					t.Errorf("%s diverged from the reference run:\ngot  %+v\nwant %+v", engine, got, want)
 				}
 				if got, want := *res.Policy, *ref.Policy; got.Windows != want.Windows ||
 					got.Changes != want.Changes || got.ChunkFinalMean != want.ChunkFinalMean ||
 					got.ChunkLo != want.ChunkLo || got.ChunkHi != want.ChunkHi {
-					t.Errorf("shards=%d policy summary diverged:\ngot  %+v\nwant %+v", shards, got, want)
+					t.Errorf("%s policy summary diverged:\ngot  %+v\nwant %+v", engine, got, want)
 				}
 			}
 		})
@@ -188,7 +188,7 @@ func TestAdaptBenchGate(t *testing.T) {
 		t.Skip("set ADAPT_BENCH_GATE=1 (or run `make bench-adapt`) to run the T3XXL gate")
 	}
 	base := Config{Algorithm: core.UPCDistMem, PEs: 256,
-		Model: &pgas.KittyHawk, Seed: 7, Shards: runtime.NumCPU()}
+		Model: &pgas.KittyHawk, Seed: 7}
 	best, results, err := TuneChunk(&uts.T3XXL, base, []int{1, 8, 64, 128})
 	if err != nil {
 		t.Fatal(err)

@@ -58,10 +58,9 @@ const (
 	opDistSbAnnounce
 )
 
-// apply interprets the protocol's remote operations. It runs in the
-// destination PE's execution context — under the sharded engine that is the
-// shard owning dst (PE 0's shard for the barrier state) — and never
-// advances time.
+// apply interprets the protocol's remote operations against dst's state
+// (PE 0's for the barrier words). It runs inline at the caller's clock and
+// never advances time.
 func (r *simDistRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) int64 {
 	switch op {
 	case opDistReadAvail:
@@ -374,7 +373,7 @@ func (pe *simDistPE) service() {
 	}
 	d := 2 * pe.r.refCost(pe.me, thief) // amount + address writes
 	pe.t.AddState(pe.state, d)
-	pe.p.RemoteSend(thief, d, 0, opDistDeliver, 0, 0, chunks)
+	pe.p.RemoteSend(thief, d, opDistDeliver, 0, 0, chunks)
 	pe.request = -1
 	pe.t.Requests++
 	if len(chunks) > 0 {
@@ -575,7 +574,7 @@ func (pe *simDistPE) sbEnter() bool {
 		// one remote reference per level of the announcement tree.
 		ad := time.Duration(term.AnnounceLevels(len(r.pes))) * r.cs.remoteRef
 		pe.t.AddState(pe.state, ad)
-		pe.p.RemoteSend(0, ad, 0, opDistSbAnnounce, 0, 0, nil)
+		pe.p.RemoteSend(0, ad, opDistSbAnnounce, 0, 0, nil)
 		return true
 	}
 	return false

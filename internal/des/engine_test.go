@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/pgas"
+	"repro/internal/stack"
 	"repro/internal/uts"
 )
 
@@ -60,6 +62,158 @@ func TestEngineDifferential(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestShardedDifferential checks that a sweep sharded across concurrent
+// goroutines reproduces the solo run: for every algorithm × tree × seed of
+// the engine differential, k simulations of the same configuration run at
+// once in one process, and each must match a solo batched run
+// bit-identically — same makespan, same event count, same per-thread
+// counters and state times. Simulations share no mutable state, so the
+// number of concurrent runs is a throughput knob, never a semantic one;
+// k = 1 is a plain repeated run.
+func TestShardedDifferential(t *testing.T) {
+	algos := []core.Algorithm{
+		core.Static, core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif,
+		core.UPCDistMem, core.UPCDistMemHier, core.MPIWS,
+	}
+	trees := []*uts.Spec{&uts.GeoLinear, &uts.T3Small}
+	seeds := []int64{1, 2, 3}
+
+	for _, algo := range algos {
+		for _, sp := range trees {
+			for _, seed := range seeds {
+				cfg := Config{
+					Algorithm: algo,
+					PEs:       16,
+					Chunk:     8,
+					Model:     &pgas.KittyHawk,
+					Seed:      seed,
+				}
+				ref, refInfo, err := RunInfo(sp, cfg)
+				if err != nil {
+					t.Fatalf("%s/%s/seed%d solo: %v", algo, sp.Name, seed, err)
+				}
+				for _, k := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s/%s/seed%d/shards=%d", algo, sp.Name, seed, k)
+					t.Run(name, func(t *testing.T) {
+						res := make([]*core.Result, k)
+						infos := make([]Info, k)
+						errs := make([]error, k)
+						var wg sync.WaitGroup
+						for j := 0; j < k; j++ {
+							wg.Add(1)
+							go func(j int) {
+								defer wg.Done()
+								res[j], infos[j], errs[j] = RunInfo(sp, cfg)
+							}(j)
+						}
+						wg.Wait()
+						for j := 0; j < k; j++ {
+							if errs[j] != nil {
+								t.Fatalf("run %d of %d: %v", j, k, errs[j])
+							}
+							if res[j].Elapsed != ref.Elapsed {
+								t.Errorf("run %d of %d: makespan %v, solo %v", j, k, res[j].Elapsed, ref.Elapsed)
+							}
+							if infos[j].Events != refInfo.Events {
+								t.Errorf("run %d of %d: %d events, solo %d", j, k, infos[j].Events, refInfo.Events)
+							}
+							for i := range ref.Threads {
+								if !reflect.DeepEqual(res[j].Threads[i], ref.Threads[i]) {
+									t.Errorf("run %d of %d: thread %d diverged:\ngot  %+v\nsolo %+v",
+										j, k, i, res[j].Threads[i], ref.Threads[i])
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// buildRemoteWorkload spawns a synthetic workload exercising every remote
+// primitive — inline advances, cross-PE calls, fire-and-forget sends, and
+// staged boundary reads inside a stepped advance — against a per-PE
+// counter partition, each remote operation costing hop. It returns the
+// state array and a per-PE log of observed call results, both of which
+// must come out bit-identical under every engine.
+func buildRemoteWorkload(s *Sim, n, rounds int, hop time.Duration) (*[]int64, *[][]int64) {
+	state := make([]int64, n)
+	logs := make([][]int64, n)
+	s.SetRemote(func(dst int, op uint8, a, b int64, _ []stack.Chunk) int64 {
+		old := state[dst]
+		switch op {
+		case 0: // fetch-and-add
+			state[dst] += a
+		case 1: // read
+		case 2: // max
+			if a > state[dst] {
+				state[dst] = a
+			}
+		}
+		return old
+	})
+	for i := 0; i < n; i++ {
+		i := i
+		s.Spawn(func(p *Proc) {
+			for k := 0; k < rounds; k++ {
+				p.Advance(time.Duration(1 + (i+k)%3))
+				got := p.RemoteCall((i+1+k)%n, hop, 0, int64(i*1000+k), 0)
+				logs[i] = append(logs[i], got)
+				p.RemoteSend((i+3+k)%n, hop, 2, int64(k*7+i), 0, nil)
+				if k%4 == 0 {
+					step := 0
+					p.AdvanceStepped(func() (time.Duration, uint8) {
+						step++
+						if step > 2 {
+							return 0, StepDone
+						}
+						d := p.StageRemote((i+5)%n, hop, 1, 0, 0)
+						return d, StepNoPoll
+					})
+					logs[i] = append(logs[i], p.StagedResult(0))
+				}
+			}
+		})
+	}
+	return &state, &logs
+}
+
+// TestRemoteOpsEnginesAgree drives the synthetic remote workload under the
+// batched engine and the legacy reference, demanding bit-identical state,
+// per-PE result logs, event counts, and makespans: the raw-engine half of
+// the determinism story (TestEngineDifferential is the protocol half).
+func TestRemoteOpsEnginesAgree(t *testing.T) {
+	const n, rounds = 16, 40
+	const hop = 100 * time.Nanosecond
+
+	bat := New()
+	bState, bLogs := buildRemoteWorkload(bat, n, rounds, hop)
+	if err := bat.Run(); err != nil {
+		t.Fatalf("batched: %v", err)
+	}
+	leg := NewLegacy()
+	lState, lLogs := buildRemoteWorkload(leg, n, rounds, hop)
+	if err := leg.Run(); err != nil {
+		t.Fatalf("legacy: %v", err)
+	}
+	if !reflect.DeepEqual(*bState, *lState) {
+		t.Errorf("state diverged:\nbatched %v\nlegacy  %v", *bState, *lState)
+	}
+	if !reflect.DeepEqual(*bLogs, *lLogs) {
+		t.Errorf("per-PE call results diverged")
+	}
+	if bat.Events() != leg.Events() {
+		t.Errorf("event count diverged: batched %d, legacy %d", bat.Events(), leg.Events())
+	}
+	if bat.Now() != leg.Now() {
+		t.Errorf("makespan diverged: batched %v, legacy %v", bat.Now(), leg.Now())
+	}
+	if bat.Events() == 0 || len((*bLogs)[0]) != rounds+rounds/4 {
+		t.Errorf("workload did not run: %d events, %d results on PE 0", bat.Events(), len((*bLogs)[0]))
 	}
 }
 

@@ -34,7 +34,6 @@ func (s *Sim) runLegacy() error {
 		}
 	}
 	if s.finished != s.nprocs {
-		s.stuck = true
 		return fmt.Errorf("des: deadlock: %d of %d PEs still blocked at t=%v",
 			s.nprocs-s.finished, s.nprocs, s.Now())
 	}

@@ -13,24 +13,21 @@ import (
 )
 
 // simMsg is one in-flight message: visible to the receiver once virtual
-// time reaches arriveAt. The inbox is kept sorted by (sentAt, from) — the
-// order in which a sequential engine executes the sends — so the sharded
-// engine, whose deliveries apply at the arrival instant rather than the
-// send instant, reconstructs exactly the sequential receive order.
+// time reaches arriveAt. The inbox holds messages in send order — the
+// dispatcher applies each send at its completion instant, in event-key
+// order, so appending keeps them ordered by (send time, sender).
 type simMsg struct {
 	arriveAt time.Duration
-	sentAt   time.Duration
 	from     int
 	tag      msg.Tag
 	chunks   []stack.Chunk
 	color    msg.Color
 }
 
-// opMPIDeliver is the protocol's single remote operation: insert a message
-// into rank dst's inbox. a packs (from, tag, color), b is the send-complete
+// opMPIDeliver is the protocol's single remote operation: append a message
+// to rank dst's inbox. a packs (from, tag, color), b is the send-complete
 // stamp; the arrival stamp is recomputed from the payload size, and
-// visibility is gated on it by recv/hasArrived — the contract RemoteSend
-// requires of delayed effects.
+// visibility is gated on it by recv/hasArrived.
 const opMPIDeliver uint8 = 0
 
 func (r *simMPIRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) int64 {
@@ -39,26 +36,13 @@ func (r *simMPIRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) i
 	for _, c := range chunks {
 		size += nodeBytes * len(c)
 	}
-	m := simMsg{
-		sentAt:   time.Duration(b),
+	pe.inbox = append(pe.inbox, simMsg{
 		arriveAt: time.Duration(b) + r.cs.bulk(size),
 		from:     int(a & 0xffffffff),
 		tag:      msg.Tag((a >> 32) & 0xff),
 		chunks:   chunks,
 		color:    msg.Color((a >> 40) & 0xff),
-	}
-	// Sorted insert by (sentAt, from). Under the sequential engines sends
-	// apply in exactly that order, so this is an append; under the sharded
-	// engine a small message can be delivered before an earlier-sent bulky
-	// one, and the insert restores send order.
-	i := len(pe.inbox)
-	pe.inbox = append(pe.inbox, simMsg{})
-	for i > 0 && (pe.inbox[i-1].sentAt > m.sentAt ||
-		(pe.inbox[i-1].sentAt == m.sentAt && pe.inbox[i-1].from > m.from)) {
-		pe.inbox[i] = pe.inbox[i-1]
-		i--
-	}
-	pe.inbox[i] = m
+	})
 	return 0
 }
 
@@ -203,7 +187,7 @@ func (pe *simMPIPE) send(to int, tag msg.Tag, chunks []stack.Chunk, color msg.Co
 	pe.t.AddState(pe.state, adv)
 	a := int64(uint32(pe.me)) | int64(tag)<<32 | int64(color)<<40
 	b := int64(pe.p.Now() + adv)
-	pe.p.RemoteSend(to, adv, pe.r.cs.bulk(size), opMPIDeliver, a, b, chunks)
+	pe.p.RemoteSend(to, adv, opMPIDeliver, a, b, chunks)
 }
 
 // recv returns the oldest message that has arrived by now.

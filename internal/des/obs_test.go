@@ -150,11 +150,10 @@ func TestSamplerIsObservationOnly(t *testing.T) {
 // so any measurable slowdown means a lock, a store, or an allocation
 // leaked onto the record path. Best-of-5 wall times on a deterministic
 // workload keep scheduler noise below the threshold. Skipped unless
-// OBS_BENCH_GATE=1, and — like the sharded dispatch gate — it needs real
-// parallelism: on a single core the sampler's own fold work timeshares
-// with the simulation and the wall clock measures CPU sharing, not
-// record-path interference (which the differential tests already pin to
-// zero).
+// OBS_BENCH_GATE=1, and it needs real parallelism: on a single core the
+// sampler's own fold work timeshares with the simulation and the wall
+// clock measures CPU sharing, not record-path interference (which the
+// differential tests already pin to zero).
 func TestSamplerOverheadGate(t *testing.T) {
 	if os.Getenv("OBS_BENCH_GATE") != "1" {
 		t.Skip("set OBS_BENCH_GATE=1 to run the sampler overhead gate")

@@ -7,14 +7,12 @@ import (
 )
 
 // This file is the remote-operation layer: the single doorway through which
-// one simulated PE touches state owned by another. Under the sequential
-// engines the doorway is a plain function call — exactly one PE runs at any
-// instant, so applying an operation inline at the caller's clock is the
-// definition of correct. Under the sharded engine (sharded.go) the same
-// calls become messages stamped with the virtual instant and the caller's
-// (proc, seq) position, and the owning shard applies them in global key
-// order — which is why routing every cross-PE effect through this layer is
-// what makes the sharded schedule bit-identical to the sequential one.
+// one simulated PE touches state owned by another. The simulation has one
+// dispatcher and exactly one PE runs at any instant, so every call is a
+// plain function call: the operation applies inline at the caller's clock,
+// after every smaller-keyed event has run. Routing each cross-PE effect
+// through these calls keeps the protocols' remote traffic in one small,
+// named vocabulary of opcodes instead of scattered field writes.
 //
 // The vocabulary is three calls:
 //
@@ -23,10 +21,9 @@ import (
 //     read-modify-write (claiming a victim's request word).
 //   - RemoteSend: advance adv, then apply op at dst. Models one-sided
 //     writes whose effect is committed at the completion instant (a steal
-//     response) or — with effectDelay > 0 — a payload that becomes visible
-//     to the receiver only later (an MPI message in flight). Delayed ops
-//     must gate observable visibility on a stamp carried in their payload;
-//     the layer itself applies them eagerly under sequential engines.
+//     response). A payload that becomes visible to the receiver only later
+//     (an MPI message in flight) carries its own arrival stamp, and the
+//     receiver gates visibility on it.
 //   - StageRemote: stage op to execute against dst exactly at the boundary
 //     of the quantum the surrounding Stepper is about to return — the
 //     completion instant of an in-flight one-sided read. The result is
@@ -35,9 +32,9 @@ import (
 //     victim's work counter and the barrier's announcement flag at the same
 //     completion instant).
 //
-// Operations run in the owner's execution context: they may freely mutate
-// the destination PE's state and post interrupts, but must not advance any
-// clock, block, or initiate further remote operations.
+// Operations may freely mutate the destination PE's state and post
+// interrupts, but must not advance any clock, block, or initiate further
+// remote operations.
 
 // RemoteApply interprets one remote operation against the partition of PE
 // dst. Protocols register one interpreter per run via Sim.SetRemote; the op
@@ -47,12 +44,11 @@ type RemoteApply func(dst int, op uint8, a, b int64, chunks []stack.Chunk) int64
 // stagedOp is one remote operation staged against the current quantum's
 // boundary.
 type stagedOp struct {
-	dst   int32
-	op    uint8
-	local bool // sharded engine: same-shard op, executed at the boundary
-	a     int64
-	b     int64
-	res   int64
+	dst int32
+	op  uint8
+	a   int64
+	b   int64
+	res int64
 }
 
 // SetRemote registers the remote-operation interpreter for this run. Must
@@ -67,27 +63,15 @@ func (s *Sim) SetRemote(fn RemoteApply) { s.remote = fn }
 //
 //uts:noalloc
 func (p *Proc) RemoteCall(dst int, d time.Duration, op uint8, a, b int64) int64 {
-	if p.sh != nil {
-		return p.sh.remoteCall(p, dst, d, op, a, b)
-	}
 	p.Advance(d)
 	return p.sim.remote(dst, op, a, b, nil)
 }
 
 // RemoteSend advances adv of virtual time, then applies op against dst's
-// partition: a fire-and-forget committed effect. effectDelay > 0 declares
-// that the operation's observable effect lags its application by that long
-// (an in-flight message); such ops must gate visibility on a stamp carried
-// in their payload, because the sequential engines apply them at the
-// completion instant of adv while the sharded engine applies them at
-// now+adv+effectDelay.
+// partition at the completion instant: a fire-and-forget committed effect.
 //
 //uts:noalloc
-func (p *Proc) RemoteSend(dst int, adv, effectDelay time.Duration, op uint8, a, b int64, chunks []stack.Chunk) {
-	if p.sh != nil {
-		p.sh.remoteSend(p, dst, adv, effectDelay, op, a, b, chunks)
-		return
-	}
+func (p *Proc) RemoteSend(dst int, adv time.Duration, op uint8, a, b int64, chunks []stack.Chunk) {
 	p.Advance(adv)
 	p.sim.remote(dst, op, a, b, chunks)
 }
@@ -106,9 +90,6 @@ func (p *Proc) StageRemote(dst int, d time.Duration, op uint8, a, b int64) time.
 	}
 	p.staged[p.nstag] = stagedOp{dst: int32(dst), op: op, a: a, b: b}
 	p.nstag++
-	if p.sh != nil {
-		p.sh.stageRemote(p, d)
-	}
 	return d
 }
 
@@ -119,9 +100,7 @@ func (p *Proc) StageRemote(dst int, d time.Duration, op uint8, a, b int64) time.
 func (p *Proc) StagedResult(i int) int64 { return p.staged[i].res }
 
 // runStaged executes the staged ops of a quantum that just reached its
-// boundary, in staging order, under the sequential engines. (The sharded
-// engine resolves staged ops through rendezvous replies instead; see
-// sharded.go.)
+// boundary, in staging order.
 //
 //uts:noalloc
 func (p *Proc) runStaged() {

@@ -2,7 +2,6 @@ package des
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -58,51 +57,27 @@ type Config struct {
 	// controller (internal/policy) that adapts the chunk size, the
 	// steal-half selection, and the mpi-ws poll interval from windowed
 	// steal feedback. Windows are measured in virtual time, so adaptive
-	// runs stay deterministic across engines and shard counts. A zero
-	// Adapt.Window derives a window from the machine model: 16 remote
-	// references or 64 node expansions, whichever is longer. Nil keeps
-	// every knob fixed and the simulation byte-identical to earlier
-	// releases.
+	// runs stay deterministic across engines. A zero Adapt.Window derives
+	// a window from the machine model: 8 remote references or 32 node
+	// expansions, whichever is longer. Nil keeps every knob fixed and the
+	// simulation byte-identical to earlier releases.
 	Adapt *policy.Config
-	// Shards, when > 0, runs the simulation on the sharded engine: the
-	// simulated PEs are partitioned into that many contiguous-ID shards,
-	// each dispatched by its own goroutine (so a real core), synchronized
-	// conservatively with the machine model's minimum remote-hop cost as
-	// lookahead. Results are bit-identical to the sequential engines for
-	// any shard count; Shards is a parallelism knob, not a semantic one.
-	// It is capped at PEs. The shared-memory family (upc-shmem, upc-term,
-	// upc-term-rapdif) synchronizes through zero-latency lock handoffs and
-	// always runs as a single shard. Zero selects the sequential engine
-	// named by Engine. Requires a model (and, with NodeSize >= 2, an Intra
-	// model) whose MinRemoteHop is positive when more than one shard is in
-	// play, and is incompatible with EngineLegacy.
-	Shards int
 }
 
-// Engine names accepted by Config.Engine (EngineSharded is reported in
-// Info when Config.Shards > 0, never set in Config.Engine).
+// Engine names accepted by Config.Engine.
 const (
 	EngineBatched = "batched"
 	EngineLegacy  = "legacy"
-	EngineSharded = "sharded"
 )
 
 // Info reports engine-level facts about a completed simulation.
 type Info struct {
-	// Engine is the engine that ran ("batched", "legacy" or "sharded").
+	// Engine is the engine that ran ("batched" or "legacy").
 	Engine string
 	// Events is the number of simulated-time boundaries executed; it is
 	// identical across engines for the same configuration, so events per
 	// wall second compares pure engine overhead.
 	Events uint64
-	// Shards is the effective shard count of a sharded run (after capping
-	// at PEs and the single-shard algorithm restrictions); 0 under the
-	// sequential engines.
-	Shards int
-	// Lookahead is the conservative-synchronization window of a sharded
-	// run: the minimum virtual latency separating any cross-PE operation
-	// from its decision instant, derived from the clamped cost model.
-	Lookahead time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -255,47 +230,6 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	default:
 		return nil, nil, info, fmt.Errorf("des: unknown engine %q (valid: %s, %s)", cfg.Engine, EngineBatched, EngineLegacy)
 	}
-	if cfg.Shards < 0 {
-		return nil, nil, info, fmt.Errorf("des: need shards >= 0, got %d", cfg.Shards)
-	}
-	if cfg.Shards > 0 {
-		if cfg.Engine == EngineLegacy {
-			return nil, nil, info, fmt.Errorf("des: the legacy engine cannot shard (drop shards or the engine override)")
-		}
-		shards := cfg.Shards
-		if shards > cfg.PEs {
-			shards = cfg.PEs
-		}
-		switch cfg.Algorithm {
-		case core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed:
-			// The shared-memory family synchronizes through zero-latency
-			// lock handoffs (Block/Wake), which carry no lookahead; it
-			// runs sharded but undivided.
-			shards = 1
-		}
-		if interval > 0 && shards > 1 {
-			return nil, nil, info, fmt.Errorf("des: traced runs sample global protocol state and need a single shard, got %d", shards)
-		}
-		la := cs.remoteRef
-		if shards > 1 {
-			if cfg.Model.MinRemoteHop() <= 0 {
-				return nil, nil, info, fmt.Errorf("des: model %q has no minimum remote-hop cost; a zero-latency machine cannot run sharded (use shards <= 1)", cfg.Model.Name)
-			}
-			if cfg.NodeSize >= 2 && cfg.Intra != nil {
-				if cfg.Intra.MinRemoteHop() <= 0 {
-					return nil, nil, info, fmt.Errorf("des: intra-node model %q has no minimum remote-hop cost; a zero-latency machine cannot run sharded (use shards <= 1)", cfg.Intra.Name)
-				}
-				if ila := newCosts(cfg.Intra).remoteRef; ila < la {
-					la = ila
-				}
-			}
-		}
-		info.Engine = EngineSharded
-		info.Shards = shards
-		info.Lookahead = la
-		sim = NewSharded(shards, la)
-	}
-
 	res := &core.Result{Spec: sp, Algorithm: cfg.Algorithm, Chunk: cfg.Chunk}
 	res.Threads = make([]stats.Thread, cfg.PEs)
 	for i := range res.Threads {
@@ -328,15 +262,13 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 		}, cfg.PEs)
 	}
 
-	// Completion bookkeeping must be shard-safe: every PE records its own
-	// end time (disjoint writes), and the live count — read by the trace
-	// sampler — is atomic.
+	// Every PE records its own end time; the live count stops the trace
+	// sampler.
 	ends := make([]time.Duration, cfg.PEs)
-	var alive atomic.Int64
-	alive.Store(int64(cfg.PEs))
+	alive := cfg.PEs
 	finish := func(p *Proc) {
 		ends[p.ID()] = p.Now()
-		alive.Add(-1)
+		alive--
 	}
 
 	var smp sampler
@@ -367,7 +299,7 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	if interval > 0 {
 		trace = &Trace{Interval: interval}
 		sim.Spawn(func(p *Proc) {
-			for alive.Load() > 0 {
+			for alive > 0 {
 				s, w := smp()
 				trace.Samples = append(trace.Samples, Sample{T: p.Now(), WorkSources: s, Working: w})
 				p.Advance(interval)

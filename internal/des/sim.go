@@ -21,19 +21,21 @@
 //
 // # Engines
 //
-// Two engines implement that contract. The batched engine (the default,
-// New) dispatches events by baton passing: control moves from the event
-// queue to a PE and back through a single buffered channel send, the event
-// queue is a flat 4-ary indexed min-heap of value-typed entries, an
-// Advance whose deadline precedes every queued event commits inline
-// without touching the heap or parking the goroutine, and protocol loops
-// expressed as step functions (AdvanceStepped) run entirely inside the
-// dispatcher with zero goroutine switches. The legacy engine (NewLegacy)
-// keeps the original two-channel wake/park handshake and boxed
-// container/heap queue; it exists as the bit-identical reference for the
-// differential tests and benchmarks. Both engines execute the same events
-// in the same order — Sim.Events counts identically — they differ only in
-// how cheaply a boundary is reached.
+// Two engines implement that contract, each with a single dispatcher: one
+// event loop owns the clock and the queue, so every cross-PE effect —
+// including the remote operations of remote.go — applies inline at the
+// caller's instant. The batched engine (the default, New) dispatches
+// events by baton passing: control moves from the event queue to a PE and
+// back through a single buffered channel send, the event queue is a flat
+// 4-ary indexed min-heap of value-typed entries, an Advance whose deadline
+// precedes every queued event commits inline without touching the heap or
+// parking the goroutine, and protocol loops expressed as step functions
+// (AdvanceStepped) run entirely inside the dispatcher with zero goroutine
+// switches. The legacy engine (NewLegacy) keeps the original two-channel
+// wake/park handshake and boxed container/heap queue; it exists as the
+// bit-identical reference for the differential tests and benchmarks. Both
+// engines execute the same events in the same order — Sim.Events counts
+// identically — they differ only in how cheaply a boundary is reached.
 package des
 
 import (
@@ -49,7 +51,6 @@ type Sim struct {
 	now      int64 // virtual time, ns
 	nprocs   int
 	finished int
-	stuck    bool
 	events   uint64
 
 	doneCh chan error
@@ -59,8 +60,6 @@ type Sim struct {
 
 	legacy bool
 	lheap  evHeap // legacy engine's boxed queue (legacy.go)
-
-	eng *shardEngine // sharded engine, nil under the sequential ones (sharded.go)
 }
 
 // New creates an empty simulation using the batched engine.
@@ -133,40 +132,26 @@ type Proc struct {
 	stepFl uint8
 
 	// seq numbers this proc's scheduled resumptions; the (t, id, seq) key
-	// orders the event queue identically under every engine.
+	// orders the event queue identically under both engines.
 	seq uint64
+
+	// The remote operations staged against the current quantum's boundary
+	// (remote.go).
+	staged [2]stagedOp
+	nstag  int
 
 	// Legacy engine: two-channel wake/park handshake.
 	wake   chan struct{}
 	park   chan struct{}
 	status procStatus
 	delay  int64
-
-	// Sharded engine: owning shard (nil under the sequential engines), the
-	// staged remote-operation slots of the current quantum, and the
-	// rendezvous-stall state (sharded.go). heldT/heldLive describe a proc
-	// stalled at a boundary awaiting pendReplies rendezvous replies;
-	// callRes receives a RemoteCall's reply.
-	sh          *shard
-	staged      [2]stagedOp
-	nstag       int
-	heldT       int64
-	heldLive    bool
-	pendReplies int32
-	callRes     int64
 }
 
 // ID returns the PE number.
 func (p *Proc) ID() int { return p.id }
 
-// Now returns the current virtual time (valid only while running). Under
-// the sharded engine this is the owning shard's clock.
-func (p *Proc) Now() time.Duration {
-	if p.sh != nil {
-		return time.Duration(p.sh.now)
-	}
-	return time.Duration(p.sim.now)
-}
+// Now returns the current virtual time (valid only while running).
+func (p *Proc) Now() time.Duration { return time.Duration(p.sim.now) }
 
 // Post sets interrupt bits on p. The poster is another PE (or the
 // simulation setup); p observes the mask at its next polling boundary.
@@ -182,22 +167,6 @@ func (p *Proc) ClearIntr(m Intr) { p.intr &^= m }
 func (s *Sim) Spawn(body func(p *Proc)) *Proc {
 	p := &Proc{id: s.nprocs, sim: s}
 	s.nprocs++
-	if s.eng != nil {
-		p.ch = make(chan Intr, 1)
-		eng := s.eng
-		eng.pending = append(eng.pending, p)
-		go func() {
-			<-p.ch // shard assignment (assign) happens before this send
-			body(p)
-			sh := p.sh
-			sh.finished++
-			if sh.finished == sh.nprocs {
-				eng.shardDone()
-			}
-			sh.dispatch()
-		}()
-		return p
-	}
 	if s.legacy {
 		p.wake = make(chan struct{})
 		p.park = make(chan struct{})
@@ -265,9 +234,6 @@ func (s *Sim) next() (ev, bool) {
 // returns an error if the event queue drains while PEs are still blocked —
 // a protocol deadlock, which the test suite treats as a hard failure.
 func (s *Sim) Run() error {
-	if s.eng != nil {
-		return s.eng.run()
-	}
 	if s.legacy {
 		return s.runLegacy()
 	}
@@ -288,7 +254,6 @@ func (s *Sim) dispatch() {
 		e, ok := s.next()
 		if !ok {
 			if s.finished != s.nprocs {
-				s.stuck = true
 				//uts:ok noalloc deadlock teardown: the simulation is over once this error is built
 				s.err = fmt.Errorf("des: deadlock: %d of %d PEs still blocked at t=%v", s.nprocs-s.finished, s.nprocs, s.Now())
 			}
@@ -363,10 +328,6 @@ func (p *Proc) Advance(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	if p.sh != nil {
-		p.shardAdvance(d)
-		return
-	}
 	s := p.sim
 	if s.legacy {
 		p.legacyAdvance(int64(d))
@@ -398,9 +359,6 @@ func (p *Proc) Advance(d time.Duration) {
 //
 //uts:noalloc
 func (p *Proc) AdvanceStepped(step Stepper) Intr {
-	if p.sh != nil {
-		return p.shardAdvanceStepped(step)
-	}
 	s := p.sim
 	if s.legacy {
 		return p.legacyAdvanceStepped(step)
@@ -444,10 +402,6 @@ func (p *Proc) yield() Intr {
 
 // Block parks the PE until another PE calls Wake on it.
 func (p *Proc) Block() {
-	if p.sh != nil {
-		p.shardYield()
-		return
-	}
 	if p.sim.legacy {
 		p.legacyBlock()
 		return
@@ -457,30 +411,15 @@ func (p *Proc) Block() {
 
 // Wake schedules a blocked PE q to resume at the current virtual time plus
 // d. Calling Wake on a PE that is not blocked corrupts the schedule; the
-// lock discipline in this package is the only caller. Under the sharded
-// engine waker and woken must share a shard: Block/Wake handoffs carry no
-// lookahead, so the run configuration must keep lock-coupled PEs together
-// (run.go forces one shard for the shared-memory family).
+// lock discipline in this package is the only caller.
 func (p *Proc) Wake(q *Proc, d time.Duration) {
-	if sh := p.sh; sh != nil {
-		if q.sh != sh {
-			panic("des: cross-shard Wake — zero-lookahead handoffs must stay within one shard")
-		}
-		q.seq++
-		sh.heap.push(sev{t: sh.now + int64(d), pid: int32(q.id), seq: q.seq, p: q, kind: seProc})
-		return
-	}
 	p.sim.schedule(q, p.sim.now+int64(d))
 }
 
 // ev is one scheduled resumption, ordered by the key (t, proc ID, per-proc
-// seq). The key is *shard-computable*: no component depends on a global
-// counter, so the sharded engine can merge events arriving from concurrent
-// shards into exactly the order a sequential engine would have executed
-// them — the foundation of the sharded/batched bit-identity proof (see
-// DESIGN.md §12). Within one proc the seq keeps its resumptions FIFO;
-// across procs a time tie resolves by proc ID, which is deterministic
-// under every engine.
+// seq). The key is the deterministic tie-break of the schedule: within one
+// proc the seq keeps its resumptions FIFO, and across procs a time tie
+// resolves by proc ID, so both engines pop events in the same order.
 type ev struct {
 	t   int64
 	seq uint64
@@ -506,7 +445,6 @@ type flatHeap struct {
 }
 
 func (h *flatHeap) empty() bool { return len(h.a) == 0 }
-func (h *flatHeap) minT() int64 { return h.a[0].t }
 
 // rootAfter reports whether the heap minimum orders strictly after a
 // would-be event of proc id at time t — the inline-commit condition. A

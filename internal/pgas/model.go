@@ -53,26 +53,6 @@ func (m *Model) BulkCost(n int) time.Duration {
 	return m.RemoteRef + time.Duration(int64(m.PerKB)*int64(n)/1024)
 }
 
-// MinRemoteHop returns the minimum nonzero cost of any cross-PE operation
-// under this model: the cheapest latency a remote reference, bulk transfer,
-// or lock round trip can incur. It is the conservative lookahead of the
-// sharded DES engine — no PE can affect another PE's partition in less
-// virtual time than this — so a zero return means the model admits
-// instantaneous remote effects and cannot be sharded. Every remote
-// operation charges at least RemoteRef (BulkCost adds bandwidth on top,
-// and the simulator clamps LockRTT up to RemoteRef), so the minimum hop
-// is RemoteRef when it is nonzero, falling back to LockRTT for models
-// that make references free but locks costly.
-func (m *Model) MinRemoteHop() time.Duration {
-	if m.RemoteRef > 0 {
-		return m.RemoteRef
-	}
-	if m.LockRTT > 0 {
-		return m.LockRTT
-	}
-	return 0
-}
-
 // String identifies the model.
 func (m *Model) String() string {
 	return fmt.Sprintf("%s[local=%v remote=%v lock=%v perKB=%v node=%v]",

@@ -199,39 +199,3 @@ func TestTopologyChargesIntraModel(t *testing.T) {
 		t.Errorf("inter-node ref took only %v", el)
 	}
 }
-
-// TestMinRemoteHop covers every built-in profile plus the fallback and
-// zero cases: the minimum hop is the sharded simulator's lookahead, so a
-// profile must report zero exactly when it admits instantaneous remote
-// effects (the SharedMemory profile, which sharded mode rejects).
-func TestMinRemoteHop(t *testing.T) {
-	for name, m := range Profiles {
-		hop := m.MinRemoteHop()
-		if name == "sharedmem" {
-			if hop != 0 {
-				t.Errorf("%s: MinRemoteHop = %v, want 0 (zero-latency profile)", name, hop)
-			}
-			continue
-		}
-		if hop != m.RemoteRef {
-			t.Errorf("%s: MinRemoteHop = %v, want RemoteRef %v", name, hop, m.RemoteRef)
-		}
-		if hop <= 0 {
-			t.Errorf("%s: cluster profile reports no positive remote hop", name)
-		}
-		if m.LockRTT > 0 && hop > m.LockRTT {
-			t.Errorf("%s: MinRemoteHop %v exceeds LockRTT %v", name, hop, m.LockRTT)
-		}
-		if bulk := m.BulkCost(1); hop > bulk {
-			t.Errorf("%s: MinRemoteHop %v exceeds minimal bulk transfer %v", name, hop, bulk)
-		}
-	}
-	lockOnly := Model{LockRTT: 3 * time.Microsecond}
-	if got := lockOnly.MinRemoteHop(); got != 3*time.Microsecond {
-		t.Errorf("lock-only model: MinRemoteHop = %v, want LockRTT", got)
-	}
-	var zero Model
-	if got := zero.MinRemoteHop(); got != 0 {
-		t.Errorf("zero model: MinRemoteHop = %v, want 0", got)
-	}
-}
